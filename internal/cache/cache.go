@@ -37,6 +37,27 @@ type Policy interface {
 	// below one byte clamp to one. Growing never evicts. This is the
 	// hook behind timed cache-degradation phases (internal/timeline).
 	Resize(capacity int64)
+	// CopyInto makes a deep copy of the cache — same resident set, same
+	// eviction order and tie-breaking state, same capacity and byte
+	// accounting — and returns it. When dst is a cache of the same
+	// concrete type its storage is reused; otherwise (nil, another type,
+	// or the receiver itself) the copy is freshly allocated. The copy
+	// shares no mutable state with the receiver, and the caller must use
+	// the returned Policy rather than dst afterwards. This is how one
+	// warm image is stamped into many servers without replaying warmup.
+	CopyInto(dst Policy) Policy
+}
+
+// copySlice returns dst resized to len(src) and filled with src. It
+// reallocates only when dst's capacity is below src's, and then keeps
+// src's spare capacity, so a copy grows exactly as its source would.
+func copySlice[T any](dst, src []T) []T {
+	if cap(dst) < cap(src) {
+		dst = make([]T, len(src), cap(src))
+	}
+	dst = dst[:len(src)]
+	copy(dst, src)
+	return dst
 }
 
 // Stats counts cache outcomes for a request stream.

@@ -112,6 +112,19 @@ func (c *GreedyDual) Resize(capacity int64) {
 	}
 }
 
+// CopyInto implements Policy, including the aging term L; a GD-Size
+// destination may receive a GDSF copy and vice versa.
+func (c *GreedyDual) CopyInto(dst Policy) Policy {
+	d, ok := dst.(*GreedyDual)
+	if !ok || d == c {
+		d = &GreedyDual{}
+	}
+	c.pc.copyInto(&d.pc)
+	d.freqs = copyFreqs(d.freqs, c.freqs)
+	d.l, d.useFreq, d.name, d.costBytes = c.l, c.useFreq, c.name, c.costBytes
+	return d
+}
+
 var _ Policy = (*GreedyDual)(nil)
 
 // NewPolicy constructs a policy by name: "lru", "lfu", "perfect-lfu",

@@ -1,6 +1,9 @@
 package cache
 
-import "container/heap"
+import (
+	"container/heap"
+	"maps"
+)
 
 // priorityCache is the shared heap machinery behind LFU, perfect-LFU and
 // the GreedyDual family: a byte-capacity cache that always evicts the
@@ -127,6 +130,55 @@ func (c *priorityCache) remove(key uint64) {
 	}
 }
 
+// copyInto makes d a deep copy of c, reusing d's entries, heap array and
+// index map. The heap array is copied slot for slot, so the copy pops,
+// fixes and breaks ties exactly as the source does.
+func (c *priorityCache) copyInto(d *priorityCache) {
+	old := d.heap
+	if cap(d.heap) < cap(c.heap) {
+		d.heap = make(pcHeap, len(c.heap), cap(c.heap))
+	} else {
+		d.heap = d.heap[:len(c.heap)]
+	}
+	if len(old) > len(c.heap) {
+		clear(old[len(c.heap):]) // drop the entries the copy does not reuse
+	}
+	if d.items == nil {
+		d.items = make(map[uint64]*pcEntry, len(c.heap))
+	} else {
+		clear(d.items)
+	}
+	var fresh []pcEntry // one slab for the entries d has no storage for
+	if n := len(c.heap) - len(old); n > 0 {
+		fresh = make([]pcEntry, n)
+	}
+	for i, e := range c.heap {
+		var ne *pcEntry
+		if i < len(old) {
+			ne = old[i] // read before d.heap[i], which may alias it, is set
+		} else {
+			ne = &fresh[i-len(old)]
+		}
+		*ne = *e
+		d.heap[i] = ne
+		d.items[ne.key] = ne
+	}
+	d.capacity, d.size, d.tick = c.capacity, c.size, c.tick
+	d.evicted = d.evicted[:0]
+}
+
+// copyFreqs returns dst (or a new map when dst is nil) holding exactly
+// src's counters.
+func copyFreqs(dst, src map[uint64]float64) map[uint64]float64 {
+	if dst == nil {
+		dst = make(map[uint64]float64, len(src))
+	} else {
+		clear(dst)
+	}
+	maps.Copy(dst, src)
+	return dst
+}
+
 // LFU evicts the resident object with the fewest accesses since insertion
 // (in-cache frequency only; counts are lost on eviction).
 type LFU struct {
@@ -191,6 +243,17 @@ func (c *LFU) Resize(capacity int64) {
 	}
 }
 
+// CopyInto implements Policy.
+func (c *LFU) CopyInto(dst Policy) Policy {
+	d, ok := dst.(*LFU)
+	if !ok || d == c {
+		d = &LFU{}
+	}
+	c.pc.copyInto(&d.pc)
+	d.freqs = copyFreqs(d.freqs, c.freqs)
+	return d
+}
+
 var _ Policy = (*LFU)(nil)
 
 // PerfectLFU evicts by all-time access frequency: counts survive eviction,
@@ -245,5 +308,17 @@ func (c *PerfectLFU) Capacity() int64 { return c.pc.capacity }
 // Resize implements Policy; all-time frequency counts survive, as they
 // do for ordinary evictions.
 func (c *PerfectLFU) Resize(capacity int64) { c.pc.resize(capacity) }
+
+// CopyInto implements Policy; the all-time counters of evicted keys are
+// copied too.
+func (c *PerfectLFU) CopyInto(dst Policy) Policy {
+	d, ok := dst.(*PerfectLFU)
+	if !ok || d == c {
+		d = &PerfectLFU{}
+	}
+	c.pc.copyInto(&d.pc)
+	d.freqs = copyFreqs(d.freqs, c.freqs)
+	return d
+}
 
 var _ Policy = (*PerfectLFU)(nil)

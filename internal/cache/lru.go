@@ -145,6 +145,26 @@ func (c *LRU) Reserve(n int) {
 	c.index.reserve(c.keys, n)
 }
 
+// CopyInto implements Policy. The arena and the index are pointer-free
+// parallel slices, so the copy is six slice copies plus the scalars, and
+// the copy's probe layout and free list match the source's exactly.
+func (c *LRU) CopyInto(dst Policy) Policy {
+	d, ok := dst.(*LRU)
+	if !ok || d == c {
+		d = &LRU{}
+	}
+	d.capacity, d.size = c.capacity, c.size
+	d.free, d.head, d.tail = c.free, c.head, c.tail
+	d.keys = copySlice(d.keys, c.keys)
+	d.sizes = copySlice(d.sizes, c.sizes)
+	d.prev = copySlice(d.prev, c.prev)
+	d.next = copySlice(d.next, c.next)
+	d.index.fps = copySlice(d.index.fps, c.index.fps)
+	d.index.vals = copySlice(d.index.vals, c.index.vals)
+	d.index.mask, d.index.n = c.index.mask, c.index.n
+	return d
+}
+
 // Resize implements Policy: least-recent entries are evicted until the
 // resident set fits the new capacity.
 func (c *LRU) Resize(capacity int64) {

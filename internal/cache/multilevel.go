@@ -74,6 +74,20 @@ func (m *MultiLevel) Contains(key uint64) bool {
 	return m.RAM.Contains(key) || m.Disk.Contains(key)
 }
 
+// CopyInto returns a deep copy of m — both levels and their statistics —
+// reusing dst's level storage where its policies match m's (see
+// Policy.CopyInto). dst may be nil; the caller must use the returned
+// cache rather than dst afterwards.
+func (m *MultiLevel) CopyInto(dst *MultiLevel) *MultiLevel {
+	if dst == nil || dst == m {
+		dst = &MultiLevel{}
+	}
+	dst.RAM = m.RAM.CopyInto(dst.RAM)
+	dst.Disk = m.Disk.CopyInto(dst.Disk)
+	dst.RAMStats, dst.DiskStats = m.RAMStats, m.DiskStats
+	return dst
+}
+
 // Resize changes both levels' capacities (shrinking evicts in each
 // level's policy order). Timed cache-degradation phases use it to shrink
 // a serving cache mid-campaign and restore it afterwards.

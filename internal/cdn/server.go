@@ -175,6 +175,11 @@ func NewServer(id, popID int, cfg Config, be *backend.Service, r *stats.Rand) *S
 // Cache exposes the server's cache for inspection and warmup.
 func (s *Server) Cache() *cache.MultiLevel { return s.cache }
 
+// SetCache replaces the server's cache, e.g. with a copy of a warm image
+// built on another server of the same configuration. Call it before the
+// server serves its first request.
+func (s *Server) SetCache(c *cache.MultiLevel) { s.cache = c }
+
 // Config returns the effective configuration.
 func (s *Server) Config() Config { return s.cfg }
 

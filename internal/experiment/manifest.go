@@ -62,9 +62,13 @@ type Manifest struct {
 // maps with sorted keys, so the hash is a pure function of the spec's
 // content — the same spec hashes identically across runs, processes,
 // and machines, and any override (a different session count, a toggled
-// diagnosis flag) changes it.
+// diagnosis flag) changes it. Shard parallelism is left out: it changes
+// no snapshot byte, so sweeps run at different -parallel settings hold
+// the same content and share one hash.
 func (s *Spec) Hash() string {
-	b, err := json.Marshal(s)
+	c := *s
+	c.Scenario.Parallel = 0
+	b, err := json.Marshal(&c)
 	if err != nil {
 		// A Spec is plain data (strings, numbers, raw JSON); Marshal
 		// cannot fail on one that Load or the preset table produced.

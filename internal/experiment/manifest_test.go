@@ -23,7 +23,8 @@ func manifestSpec(t *testing.T) *Spec {
 }
 
 // TestSpecHashStableAndContentSensitive: the hash is a pure function of
-// spec content — identical specs agree, any override changes it.
+// spec content — identical specs agree, any override of content changes
+// it, and the output-neutral parallelism does not.
 func TestSpecHashStableAndContentSensitive(t *testing.T) {
 	a, b := manifestSpec(t), manifestSpec(t)
 	if a.Hash() != b.Hash() {
@@ -37,6 +38,11 @@ func TestSpecHashStableAndContentSensitive(t *testing.T) {
 	c.Diagnosis = true
 	if a.Hash() == c.Hash() {
 		t.Fatal("diagnosis toggle did not change the spec hash")
+	}
+	d := manifestSpec(t)
+	d.Scenario.Parallel = 8
+	if a.Hash() != d.Hash() {
+		t.Fatal("a parallelism override changed the spec hash; it changes no output byte")
 	}
 }
 

@@ -72,7 +72,7 @@ type Config struct {
 	// Run exits (SIGTERM shutdown included).
 	CheckpointPath string
 	// CheckpointEveryWindows writes a checkpoint after every n-th closed
-	// window (0 = only on demand and at exit).
+	// window when CheckpointPath is set (0 = only on demand and at exit).
 	CheckpointEveryWindows int
 	// MaxWindows stops the engine after this many total closed windows
 	// (0 = run until the context is cancelled).
@@ -232,7 +232,7 @@ func (e *Engine) Run(ctx context.Context) error {
 			slog.Uint64("sessions", sn.Counter(telemetry.CounterSessions)),
 			slog.Uint64("chunks", sn.Counter(telemetry.CounterChunks)),
 			slog.Duration("wall", time.Since(wallStart)))
-		if e.cfg.CheckpointEveryWindows > 0 && (idx+1)%e.cfg.CheckpointEveryWindows == 0 {
+		if e.cfg.CheckpointPath != "" && e.cfg.CheckpointEveryWindows > 0 && (idx+1)%e.cfg.CheckpointEveryWindows == 0 {
 			if err := e.checkpointNow(); err != nil {
 				e.failCheckpointWaiters(err)
 				return err

@@ -153,6 +153,20 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestPeriodicCheckpointWithoutPathIsSkipped: checkpoints are written
+// only when CheckpointPath is set, so a periodic interval with no path
+// must run past its first checkpoint window without error.
+func TestPeriodicCheckpointWithoutPathIsSkipped(t *testing.T) {
+	cfg := testConfig(41, 1)
+	cfg.SessionsPerWindow = 40
+	cfg.CheckpointEveryWindows = 6
+	cfg.MaxWindows = 7
+	eng := runEngine(t, cfg)
+	if got := eng.WindowsDone(); got != 7 {
+		t.Fatalf("WindowsDone = %d, want 7", got)
+	}
+}
+
 // TestCheckpointRoundTripsThroughJSON: the file the engine writes loads
 // back into an identical checkpoint — re-marshalling changes nothing.
 func TestCheckpointRoundTripsThroughJSON(t *testing.T) {

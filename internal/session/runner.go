@@ -23,8 +23,10 @@ package session
 
 import (
 	"fmt"
+	"runtime"
 
 	"vidperf/internal/abr"
+	"vidperf/internal/cache"
 	"vidperf/internal/cdn"
 	"vidperf/internal/core"
 	"vidperf/internal/sim"
@@ -96,8 +98,10 @@ type slotShard struct {
 	popID int
 	slot  int
 	algo  abr.Algorithm
-	shard sim.Shard
 	sink  core.RecordSink
+
+	weight int        // planned chunks, the scheduler's work estimate
+	eng    sim.Engine // the shard's own event loop
 
 	// recPool recycles finished sessions' ChunkRecord buffers (sinks copy
 	// what they keep, per the core.RecordSink contract) so steady-state
@@ -159,51 +163,131 @@ func planShards(pop *workload.Population, factory SinkFactory) ([]*slotShard, er
 			r.ReserveRecords(len(refs), plannedChunks[bucket])
 		}
 		shards = append(shards, &slotShard{
-			pop:   pop,
-			refs:  refs,
-			popID: popID,
-			slot:  slot,
-			algo:  algo,
-			shard: sim.Shard{ID: bucket, Weight: plannedChunks[bucket]},
-			sink:  sink,
+			pop:    pop,
+			refs:   refs,
+			popID:  popID,
+			slot:   slot,
+			algo:   algo,
+			sink:   sink,
+			weight: plannedChunks[bucket],
 		})
 	}
 	return shards, nil
 }
 
 // executeShards runs every shard's event loop, at most parallelism at a
-// time. Shard weights (session counts) let the scheduler start the
-// heaviest shards first so the run's tail is not one hot server.
+// time. The unit of execution is a slot task (planSlotTasks): one server
+// slot's PoP shards, which share one warm cache image. Task weights (the
+// shards' planned chunks) let the scheduler start the heaviest tasks
+// first so the run's tail is not one hot server.
 func executeShards(parallelism int, shards []*slotShard, prog *Progress) {
-	byID := make(map[int]*slotShard, len(shards))
-	simShards := make([]*sim.Shard, 0, len(shards))
-	for _, sh := range shards {
-		byID[sh.shard.ID] = sh
-		simShards = append(simShards, &sh.shard)
-	}
-	sim.RunShards(parallelism, simShards, func(s *sim.Shard) {
-		byID[s.ID].run()
-		if prog != nil {
-			prog.ShardsDone.Add(1)
+	tasks := planSlotTasks(shards, workerCount(parallelism))
+	sched := make([]*sim.Shard, len(tasks))
+	for i, task := range tasks {
+		s := &sim.Shard{ID: i}
+		for _, sh := range task {
+			s.Weight += sh.weight
 		}
+		sched[i] = s
+	}
+	sim.RunShards(parallelism, sched, func(s *sim.Shard) {
+		runSlotTask(tasks[s.ID], prog)
 	})
 }
 
-// run builds the shard's single-server fleet partition, warms it,
-// schedules the shard's session arrivals, and drains the event loop.
+// workerCount is the number of tasks sim.RunShards keeps in flight for a
+// parallelism setting: GOMAXPROCS for parallelism <= 0, and never more
+// than GOMAXPROCS.
+func workerCount(parallelism int) int {
+	if procs := runtime.GOMAXPROCS(0); parallelism <= 0 || parallelism > procs {
+		return procs
+	}
+	return parallelism
+}
+
+// planSlotTasks groups the planned shards (ascending (PoP, slot) order)
+// by server slot, each group in ascending PoP order. A slot's warm cache
+// image is the same in every PoP — cdn.SlotFor ignores the PoP — so one
+// task per slot warms once for all of its PoPs. When there are fewer slot
+// groups than workers (ServersPerPoP 1 is a single group), each group is
+// split into contiguous PoP runs until every worker has a task; each run
+// warms its own image. Grouping changes only which goroutine runs a
+// shard: sinks were built in canonical order at plan time, so output
+// bytes do not depend on it.
+func planSlotTasks(shards []*slotShard, workers int) [][]*slotShard {
+	var bySlot [][]*slotShard
+	for _, sh := range shards {
+		for len(bySlot) <= sh.slot {
+			bySlot = append(bySlot, nil)
+		}
+		bySlot[sh.slot] = append(bySlot[sh.slot], sh)
+	}
+	groups := bySlot[:0]
+	for _, g := range bySlot {
+		if len(g) > 0 {
+			groups = append(groups, g)
+		}
+	}
+	parts := 1
+	if len(groups) > 0 && len(groups) < workers {
+		parts = (workers + len(groups) - 1) / len(groups)
+	}
+	var tasks [][]*slotShard
+	for _, g := range groups {
+		k := min(parts, len(g))
+		for i := 0; i < k; i++ {
+			tasks = append(tasks, g[i*len(g)/k:(i+1)*len(g)/k])
+		}
+	}
+	return tasks
+}
+
+// runSlotTask runs one task's shards in order. A warm scenario builds
+// the slot's cache image once, with WarmPoP on a slot fleet, and runs
+// each shard on a copy of it. A finished shard's cache is the storage
+// for the next copy, and the last shard takes the image itself, so a
+// task holds at most two caches at a time however many PoPs it spans —
+// which keeps the live images bounded by twice the worker count.
+func runSlotTask(task []*slotShard, prog *Progress) {
+	first := task[0]
+	sc := first.pop.Scenario
+	var image, spare *cache.MultiLevel
+	if !sc.ColdStart {
+		fleet := cdn.NewSlotFleet(sc.Fleet, sc.Seed, first.popID, first.slot)
+		WarmPoP(fleet, first.pop.Catalog, first.popID)
+		image = fleet.PoPServers(first.popID)[first.slot].Cache()
+	}
+	for i, sh := range task {
+		warm := image
+		if image != nil && i < len(task)-1 {
+			warm = image.CopyInto(spare)
+		}
+		spare = sh.run(warm)
+		if prog != nil {
+			prog.ShardsDone.Add(1)
+		}
+	}
+}
+
+// run builds the shard's single-server fleet partition, installs the
+// warm cache (nil leaves the server's own empty cache: a cold start),
+// schedules the shard's session arrivals, and drains the event loop. It
+// returns the server's cache, which the caller may reuse as storage once
+// the shard is done.
 // Everything it touches is shard-private except the read-only population.
 // Session state (TCP connection, player, ABR estimator) is created at
 // arrival time and becomes garbage once the session's records are handed
 // to the sink, so a streaming sink keeps the shard's live heap
 // proportional to concurrently playing sessions rather than to the whole
 // campaign.
-func (sh *slotShard) run() {
+func (sh *slotShard) run(warm *cache.MultiLevel) *cache.MultiLevel {
 	sc := sh.pop.Scenario
 	fleet := cdn.NewSlotFleet(sc.Fleet, sc.Seed, sh.popID, sh.slot)
-	if !sc.ColdStart {
-		WarmPoP(fleet, sh.pop.Catalog, sh.popID)
+	srv := fleet.PoPServers(sh.popID)[sh.slot]
+	if warm != nil {
+		srv.SetCache(warm)
 	}
-	eng := &sh.shard.Engine
+	eng := &sh.eng
 	scheduleTimelineEvents(eng, fleet, sh.popID, sc.Timeline, sc.ArrivalOffsetMS)
 	for _, ref := range sh.refs {
 		id := ref.ID
@@ -213,6 +297,7 @@ func (sh *slotShard) run() {
 		})
 	}
 	eng.Run()
+	return srv.Cache()
 }
 
 // scheduleTimelineEvents installs the timeline's per-server mutations as

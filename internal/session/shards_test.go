@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"vidperf/internal/cdn"
 	"vidperf/internal/core"
 	"vidperf/internal/telemetry"
 	"vidperf/internal/workload"
@@ -152,5 +153,79 @@ func TestRecycledChunkBuffersSafe(t *testing.T) {
 	}
 	if recycled == 0 {
 		t.Fatal("no retained chunk slice was ever recycled; the buffer pool appears inactive")
+	}
+}
+
+// TestSlotTaskEdgesByteIdentical covers the two slot-task edges: a
+// single slot per PoP (one slot group, which must be split so more than
+// one worker gets a task) and partitioned top ranks (every slot warms
+// them, so every image holds the shared titles). Each must plan more
+// than one task for four workers, cover every shard exactly once in
+// ascending PoP order within a slot, and produce the sequential run's
+// trace and snapshot bytes at parallelism 4.
+func TestSlotTaskEdgesByteIdentical(t *testing.T) {
+	cases := []struct {
+		name  string
+		fleet cdn.FleetConfig
+	}{
+		{"single-slot", cdn.FleetConfig{NumPoPs: 4, ServersPerPoP: 1}},
+		{"partitioned", cdn.FleetConfig{NumPoPs: 3, ServersPerPoP: 2, PartitionTopRanks: 40}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			scenario := func(par int) workload.Scenario {
+				sc := smallScenario(31)
+				sc.Fleet = c.fleet
+				sc.Parallelism = par
+				return sc
+			}
+
+			var col core.SpanCollector
+			shards, err := planShards(workload.Build(scenario(4)), func(int) core.RecordSink { return col.NewSink() })
+			if err != nil {
+				t.Fatal(err)
+			}
+			tasks := planSlotTasks(shards, 4)
+			if len(tasks) < 2 {
+				t.Fatalf("%d tasks for 4 workers, want more than one", len(tasks))
+			}
+			seen := 0
+			for _, task := range tasks {
+				for i, sh := range task {
+					if sh.slot != task[0].slot || (i > 0 && sh.popID <= task[i-1].popID) {
+						t.Fatalf("task mixes slots or breaks PoP order: slot %d PoP %d after slot %d", sh.slot, sh.popID, task[0].slot)
+					}
+					seen++
+				}
+			}
+			if seen != len(shards) {
+				t.Fatalf("tasks cover %d shards, planned %d", seen, len(shards))
+			}
+
+			trace := func(par int) []byte {
+				var buf bytes.Buffer
+				if err := core.WriteJSONL(&buf, mustRun(t, scenario(par))); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			if a, b := trace(1), trace(4); !bytes.Equal(a, b) {
+				t.Fatalf("parallelism 4 trace differs from sequential (%d vs %d bytes)", len(b), len(a))
+			}
+			snap := func(par int) []byte {
+				res, err := Execute(scenario(par), Options{Telemetry: true, SketchK: 64})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := telemetry.WriteSnapshot(&buf, res.Snapshot); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			if a, b := snap(1), snap(4); !bytes.Equal(a, b) {
+				t.Fatalf("parallelism 4 snapshot differs from sequential (%d vs %d bytes)", len(b), len(a))
+			}
+		})
 	}
 }
