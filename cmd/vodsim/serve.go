@@ -122,7 +122,7 @@ func serveMain(args []string) {
 		if err != nil {
 			fatal(log, "listen failed", slog.Any("err", err))
 		}
-		srv = &http.Server{Handler: eng.Handler()}
+		srv = newHTTPServer(eng.Handler())
 		log.Info("http listening", slog.String("addr", ln.Addr().String()))
 		go func() {
 			if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -150,6 +150,27 @@ func serveMain(args []string) {
 			fatal(log, "write failed", slog.Any("err", err))
 		}
 		log.Info("wrote snapshot", slog.String("path", f.out))
+	}
+}
+
+// Limits of the serve HTTP listener. Every endpoint answers a small GET
+// or POST, so a client that has not sent its request headers within
+// httpReadHeaderTimeout, sends more than httpMaxHeaderBytes of them, or
+// leaves a keep-alive connection idle for httpIdleTimeout is
+// disconnected instead of holding the connection open.
+const (
+	httpReadHeaderTimeout = 10 * time.Second
+	httpIdleTimeout       = 2 * time.Minute
+	httpMaxHeaderBytes    = 16 << 10
+)
+
+// newHTTPServer returns the serve listener's http.Server with its limits.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: httpReadHeaderTimeout,
+		IdleTimeout:       httpIdleTimeout,
+		MaxHeaderBytes:    httpMaxHeaderBytes,
 	}
 }
 

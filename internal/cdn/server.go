@@ -140,6 +140,12 @@ type Server struct {
 	busy  int
 	queue []pendingReq
 
+	// release frees a worker and starts the next queued request. It is
+	// bound to releaseEng once, so finishing a request schedules it
+	// without allocating a closure.
+	release    sim.Event
+	releaseEng *sim.Engine
+
 	// Aggregate metrics for the load/performance analysis.
 	Served      int64
 	BytesServed int64
@@ -151,7 +157,8 @@ type Server struct {
 type pendingReq struct {
 	req       Request
 	arrivedMS float64
-	done      func(ServeResult)
+	res       *ServeResult
+	done      sim.Event
 }
 
 // NewServer builds a server with its own cache and backend sampler.
@@ -191,11 +198,14 @@ func (s *Server) MeanDCDNms() float64 {
 	return s.SumDCDNms / float64(s.Served)
 }
 
-// Serve schedules the handling of req on the simulation engine and calls
-// done with the latency breakdown at the moment the chunk's first byte is
-// written to the socket.
-func (s *Server) Serve(eng *sim.Engine, req Request, done func(ServeResult)) {
-	p := pendingReq{req: req, arrivedMS: eng.Now(), done: done}
+// Serve schedules the handling of req on the simulation engine and runs
+// done at the moment the chunk's first byte is written to the socket. The
+// latency breakdown is stored in *res once a worker has handled the
+// request, which is no later than done runs; the caller must leave *res
+// alone until then. A requester with one request in flight binds done
+// and res once, so serving a chunk allocates no closure.
+func (s *Server) Serve(eng *sim.Engine, req Request, res *ServeResult, done sim.Event) {
+	p := pendingReq{req: req, arrivedMS: eng.Now(), res: res, done: done}
 	if s.busy < s.cfg.Workers {
 		s.start(eng, p)
 	} else {
@@ -263,16 +273,26 @@ func (s *Server) finish(eng *sim.Engine, p pendingReq, res ServeResult, dispatch
 
 	// The worker is event-driven: it is released after the local work;
 	// waiting on the backend does not occupy a thread.
-	eng.After(localWork, func(float64) {
-		s.busy--
-		if len(s.queue) > 0 {
-			next := s.queue[0]
-			s.queue = s.queue[1:]
-			s.start(eng, next)
+	eng.After(localWork, s.releaseOn(eng))
+	*p.res = res
+	eng.After(firstByteDelay, p.done)
+}
+
+// releaseOn returns the worker-release event bound to eng, binding it on
+// the first request the server handles on that engine.
+func (s *Server) releaseOn(eng *sim.Engine) sim.Event {
+	if s.releaseEng != eng {
+		s.releaseEng = eng
+		s.release = func(float64) {
+			s.busy--
+			if len(s.queue) > 0 {
+				next := s.queue[0]
+				s.queue = s.queue[1:]
+				s.start(eng, next)
+			}
 		}
-	})
-	done := p.done
-	eng.After(firstByteDelay, func(float64) { done(res) })
+	}
+	return s.release
 }
 
 // prefetch warms the cache with the session's subsequent chunks after a

@@ -22,7 +22,7 @@ func serveSync(s *Server, req Request) (ServeResult, float64) {
 	var eng sim.Engine
 	var out ServeResult
 	var at float64
-	s.Serve(&eng, req, func(res ServeResult) { out = res; at = eng.Now() })
+	s.Serve(&eng, req, &out, func(now float64) { at = now })
 	eng.Run()
 	return out, at
 }
@@ -114,8 +114,8 @@ func TestFIFOQueueWait(t *testing.T) {
 	var eng sim.Engine
 	var first, second ServeResult
 	gotFirst := false
-	s.Serve(&eng, Request{Key: 1, SizeBytes: 400000}, func(r ServeResult) { first = r; gotFirst = true })
-	s.Serve(&eng, Request{Key: 2, SizeBytes: 400000}, func(r ServeResult) { second = r })
+	s.Serve(&eng, Request{Key: 1, SizeBytes: 400000}, &first, func(float64) { gotFirst = true })
+	s.Serve(&eng, Request{Key: 2, SizeBytes: 400000}, &second, func(float64) {})
 	eng.Run()
 	if !gotFirst {
 		t.Fatal("first request never finished")
@@ -244,7 +244,8 @@ func TestLayeredServeShares(t *testing.T) {
 	for i := 0; i < n; i++ {
 		key := uint64(z.Sample(r))
 		req := Request{Key: key, SizeBytes: 450000}
-		s.Serve(&eng, req, func(res ServeResult) { counts[res.Level]++ })
+		var res ServeResult
+		s.Serve(&eng, req, &res, func(float64) { counts[res.Level]++ })
 		eng.Run()
 	}
 	ram := float64(counts[cache.LevelRAM]) / float64(n)
@@ -260,4 +261,26 @@ func TestLayeredServeShares(t *testing.T) {
 		t.Errorf("miss share %.2f too high", miss)
 	}
 	t.Logf("shares: ram=%.2f disk=%.2f miss=%.2f", ram, disk, miss)
+}
+
+// A requester that binds its callback and result slot once serves a
+// cache hit without allocating: the worker release is bound per engine.
+func TestServeHitAllocatesNothing(t *testing.T) {
+	s := newTestServer(Config{})
+	var eng sim.Engine
+	req := Request{Key: 9, SizeBytes: 300000}
+	var res ServeResult
+	done := func(float64) {}
+	s.Serve(&eng, req, &res, done) // miss: fills the cache
+	eng.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		s.Serve(&eng, req, &res, done)
+		eng.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("serving a hit allocated %v times per request", allocs)
+	}
+	if res.Level != cache.LevelRAM {
+		t.Errorf("level %v, want a RAM hit", res.Level)
+	}
 }

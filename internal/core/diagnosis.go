@@ -22,10 +22,31 @@ type OutlierReport struct {
 // (< mean + σ). The method needs a handful of chunks to estimate the
 // session's own baseline; sessions shorter than minChunks return nothing.
 func DetectStackOutliers(chunks []ChunkRecord) OutlierReport {
-	const minChunks = 5
 	var rep OutlierReport
+	screen := NewStackScreen(chunks)
+	for i := range chunks {
+		if screen.Outlier(&chunks[i]) {
+			rep.Outliers = append(rep.Outliers, i)
+		}
+	}
+	return rep
+}
+
+// StackScreen is the Eq. 4 screen fitted to one session: the session's
+// own thresholds, computed once, so a caller can test its chunks one at a
+// time without collecting the outlier indices (DetectStackOutliers
+// collects them).
+type StackScreen struct {
+	fitted                      bool
+	dfb, tp, srtt, server, cwnd float64
+}
+
+// NewStackScreen fits the Eq. 4 thresholds to a session's chunks. A
+// session shorter than minChunks gets a screen that flags nothing.
+func NewStackScreen(chunks []ChunkRecord) StackScreen {
+	const minChunks = 5
 	if len(chunks) < minChunks {
-		return rep
+		return StackScreen{}
 	}
 	var dfb, tp, srtt, server, cwnd stats.Summary
 	for i := range chunks {
@@ -35,26 +56,26 @@ func DetectStackOutliers(chunks []ChunkRecord) OutlierReport {
 		server.Add(chunks[i].ServerLatencyMS())
 		cwnd.Add(float64(chunks[i].CWND))
 	}
-	for i := range chunks {
-		c := &chunks[i]
-		if c.DFBms <= dfb.Mean()+2*dfb.Std() {
-			continue
-		}
-		if c.InstantThroughputKbps() <= tp.Mean()+2*tp.Std() {
-			continue
-		}
-		if c.SRTTms > srtt.Mean()+srtt.Std() {
-			continue
-		}
-		if c.ServerLatencyMS() > server.Mean()+server.Std() {
-			continue
-		}
-		if float64(c.CWND) > cwnd.Mean()+cwnd.Std() {
-			continue
-		}
-		rep.Outliers = append(rep.Outliers, i)
+	return StackScreen{
+		fitted: true,
+		dfb:    dfb.Mean() + 2*dfb.Std(),
+		tp:     tp.Mean() + 2*tp.Std(),
+		srtt:   srtt.Mean() + srtt.Std(),
+		server: server.Mean() + server.Std(),
+		cwnd:   cwnd.Mean() + cwnd.Std(),
 	}
-	return rep
+}
+
+// Outlier reports whether c, one of the fitted session's chunks, is a
+// download-stack outlier. Each test is written as the negation of the
+// ordinary case, so a NaN metric never rules a chunk out.
+func (s StackScreen) Outlier(c *ChunkRecord) bool {
+	return s.fitted &&
+		!(c.DFBms <= s.dfb) &&
+		!(c.InstantThroughputKbps() <= s.tp) &&
+		!(c.SRTTms > s.srtt) &&
+		!(c.ServerLatencyMS() > s.server) &&
+		!(float64(c.CWND) > s.cwnd)
 }
 
 // EstimateDDSms implements the paper's Eq. 5 conservative lower bound on a

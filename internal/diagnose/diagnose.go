@@ -225,12 +225,9 @@ func Classify(s core.SessionRecord, chunks []core.ChunkRecord, cfg Config) Diagn
 		return d
 	}
 
-	// Eq. 4 runs once per session: outlier membership feeds the per-chunk
-	// layer rule below.
-	outlier := make([]bool, len(chunks))
-	for _, i := range core.DetectStackOutliers(chunks).Outliers {
-		outlier[i] = true
-	}
+	// Eq. 4 is fitted once per session: outlier membership feeds the
+	// per-chunk layer rule below.
+	screen := core.NewStackScreen(chunks)
 
 	// Vote over the slow chunks — the ones that drained the buffer
 	// (Eq. 2 score < 1) or had a stall charged to them.
@@ -238,7 +235,7 @@ func Classify(s core.SessionRecord, chunks []core.ChunkRecord, cfg Config) Diagn
 	for i := range chunks {
 		c := &chunks[i]
 		if c.PerfScore() < 1 || c.BufCount > 0 {
-			d.voteChunk(c, outlier[i], cfg)
+			d.voteChunk(c, screen.Outlier(c), cfg)
 			voted = true
 		}
 	}
@@ -247,7 +244,7 @@ func Classify(s core.SessionRecord, chunks []core.ChunkRecord, cfg Config) Diagn
 		// chunk below the score threshold, or a truncated session): vote
 		// over everything the session fetched.
 		for i := range chunks {
-			d.voteChunk(&chunks[i], outlier[i], cfg)
+			d.voteChunk(&chunks[i], screen.Outlier(&chunks[i]), cfg)
 		}
 	}
 

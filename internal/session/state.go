@@ -36,6 +36,15 @@ type sessionState struct {
 	est    *abr.Estimator
 	server *cdn.Server
 
+	// The session's one request in flight: the chunk asked for and the
+	// server's breakdown of it. onServedEv and requestEv are the serve
+	// callback and the next-chunk timer, bound once per session so a
+	// chunk allocates no closure.
+	req        chunkRequest
+	served     cdn.ServeResult
+	onServedEv sim.Event
+	requestEv  sim.Event
+
 	chunkIdx    int
 	records     []core.ChunkRecord
 	sumKbpsDur  float64
@@ -54,6 +63,15 @@ type sessionState struct {
 	liveChannel  int
 	liveSwitches int
 	liveLagMS    float64
+}
+
+// chunkRequest is what onServed needs to know of the chunk a session
+// asked for.
+type chunkRequest struct {
+	t0           float64 // issue time
+	idx, bitrate int
+	dur          float64
+	size         int64
 }
 
 // liveProbe, when non-nil, observes every live chunk issue as
@@ -95,6 +113,8 @@ func newSessionState(sh *slotShard, plan workload.SessionPlan,
 		st.liveChannel = plan.LiveChannel
 		st.liveAbs = plan.LiveJoinChunk
 	}
+	st.onServedEv = st.onServed
+	st.requestEv = func(float64) { st.requestNextChunk() }
 	return st
 }
 
@@ -131,7 +151,7 @@ func (s *sessionState) requestNextChunk() {
 			wait := pub - now
 			s.liveLagMS += wait
 			s.conn.AdvanceIdle(wait)
-			s.eng.At(pub, func(float64) { s.requestNextChunk() })
+			s.eng.At(pub, s.requestEv)
 			return
 		}
 	}
@@ -169,10 +189,8 @@ func (s *sessionState) requestNextChunk() {
 		BackendFactor: s.plan.BackendFactor,
 	}
 	s.server = s.fleet.ServerFor(s.plan.ServingPoP, s.plan.Video.ID, s.plan.Video.Rank, s.plan.ID)
-	t0 := s.eng.Now()
-	s.server.Serve(s.eng, req, func(res cdn.ServeResult) {
-		s.onServed(t0, idx, bitrate, dur, size, res)
-	})
+	s.req = chunkRequest{t0: s.eng.Now(), idx: idx, bitrate: bitrate, dur: dur, size: size}
+	s.server.Serve(s.eng, req, &s.served, s.onServedEv)
 }
 
 // prefetchList names the session's next two chunks for servers with
@@ -196,7 +214,9 @@ func (s *sessionState) prefetchList(idx, bitrate int) []cdn.NextChunk {
 
 // onServed fires when the server has the chunk's first byte ready; the
 // network transfer and client-side handling follow.
-func (s *sessionState) onServed(t0 float64, idx, bitrate int, dur float64, size int64, res cdn.ServeResult) {
+func (s *sessionState) onServed(float64) {
+	t0, idx, bitrate, dur, size := s.req.t0, s.req.idx, s.req.bitrate, s.req.dur, s.req.size
+	res := &s.served
 	tr := s.conn.Transfer(size)
 	dds := s.plan.Stack.Sample(idx, s.r)
 
@@ -281,7 +301,7 @@ func (s *sessionState) onServed(t0 float64, idx, bitrate int, dur float64, size 
 		nextAt += wait
 		s.conn.AdvanceIdle(wait)
 	}
-	s.eng.At(nextAt, func(float64) { s.requestNextChunk() })
+	s.eng.At(nextAt, s.requestEv)
 }
 
 // maybeSwitchChannel draws the per-chunk channel-switch decision. A

@@ -74,9 +74,6 @@ type Engine struct {
 // Now returns the current simulated time in milliseconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Pending returns the number of scheduled events not yet executed.
-func (e *Engine) Pending() int { return len(e.events) }
-
 // At schedules fn to run at absolute time at. Events scheduled in the past
 // run at the current time (the engine never moves backwards).
 func (e *Engine) At(at float64, fn Event) {
@@ -123,16 +120,5 @@ func (e *Engine) Step() bool {
 // Run executes events until none remain.
 func (e *Engine) Run() {
 	for e.Step() {
-	}
-}
-
-// RunUntil executes events with time <= deadline. Later events remain queued
-// and the clock advances to deadline if it had not yet reached it.
-func (e *Engine) RunUntil(deadline float64) {
-	for len(e.events) > 0 && e.events[0].at <= deadline {
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
 	}
 }

@@ -66,6 +66,49 @@ func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
+// ShrinkingBoolCount returns how many draws come up true in the loop
+//
+//	hits := 0
+//	for i := 0; i < budget-hits; i++ {
+//		if r.Bool(p) {
+//			hits++
+//		}
+//	}
+//
+// and consumes exactly the generator draws that loop would, leaving r in
+// the same state. Every hit shrinks the loop bound by one, so at p >= 1 it
+// returns ceil(budget/2) without drawing, like Bool's no-draw paths.
+//
+// It is the per-segment loss kernel of the TCP model, so it keeps the
+// generator state in a local and replaces Bool's float compare with an
+// integer one: Float64() < p holds exactly when Uint64()>>11 <
+// ceil(p·2^53), because Float64 is (Uint64()>>11)·2^-53 and scaling p by
+// 2^53 is exact.
+func (r *Rand) ShrinkingBoolCount(budget int, p float64) int {
+	if budget <= 0 || p <= 0 {
+		return 0
+	}
+	if p >= 1 {
+		return (budget + 1) / 2
+	}
+	// A NaN p draws but never hits, as in Bool.
+	var threshold uint64
+	if t := math.Ceil(p * (1 << 53)); t > 0 {
+		threshold = uint64(t)
+	}
+	state, hits := r.state, 0
+	for i := 0; i < budget-hits; i++ {
+		state += 0x9e3779b97f4a7c15
+		z := (state ^ (state >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		if (z^(z>>31))>>11 < threshold {
+			hits++
+		}
+	}
+	r.state = state
+	return hits
+}
+
 // Uniform returns a uniform float64 in [lo, hi).
 func (r *Rand) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()

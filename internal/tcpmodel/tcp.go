@@ -218,10 +218,14 @@ func (c *Conn) updateRTT(sample float64, acks int) {
 	if acks > 32 {
 		acks = 32
 	}
+	// Locals rather than fields keep the estimators in registers across
+	// the loop; the arithmetic, and so every result bit, is unchanged.
+	srtt, rttvar := c.srtt, c.rttvar
 	for i := 0; i < acks; i++ {
-		c.rttvar = 0.75*c.rttvar + 0.25*math.Abs(c.srtt-sample)
-		c.srtt = 0.875*c.srtt + 0.125*sample
+		rttvar = 0.75*rttvar + 0.25*math.Abs(srtt-sample)
+		srtt = 0.875*srtt + 0.125*sample
 	}
+	c.srtt, c.rttvar = srtt, rttvar
 }
 
 // RTOms returns the retransmission timeout per RFC 6298 with the Linux
@@ -284,6 +288,14 @@ func (c *Conn) maybeSample() {
 
 // lossesInWindow counts lost segments for a window of n segments given the
 // droptail overflow (burst beyond buffer capacity) plus random loss.
+//
+// Random loss is one Bernoulli draw per segment not already lost, but the
+// draw loop's bound shrinks with every loss it finds (stats.Rand's
+// ShrinkingBoolCount). So random loss hits about p/(1+p) of the window
+// rather than p, and at p = 1 exactly ceil((n-L0)/2) segments, where L0
+// is the congestive loss. This is a known modelling defect; correcting it
+// changes the RNG stream and every seeded output, so it waits for a
+// re-baselining of the pinned outputs.
 func (c *Conn) lossesInWindow(n int, windowBytes float64) int {
 	lost := 0
 	// Congestive loss: data beyond BDP + buffer cannot be absorbed.
@@ -298,13 +310,7 @@ func (c *Conn) lossesInWindow(n int, windowBytes float64) int {
 		lost += int(math.Ceil(overflow / float64(c.p.MSS)))
 	}
 	// Random per-segment loss.
-	if p := c.p.RandomLossProb; p > 0 {
-		for i := 0; i < n-lost; i++ {
-			if c.r.Bool(p) {
-				lost++
-			}
-		}
-	}
+	lost += c.r.ShrinkingBoolCount(n-lost, c.p.RandomLossProb)
 	if lost > n {
 		lost = n
 	}

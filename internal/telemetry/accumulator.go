@@ -64,17 +64,28 @@ type Accumulator struct {
 	hists    map[string]*Histogram
 	counters *CounterSet
 
+	// The record path's per-chunk sketches and dimensioned counter keys,
+	// resolved once so folding a chunk formats no key and looks up no
+	// sketch by name.
+	chunk                                                   chunkSketches
+	sessionsPoP, sessionsOrg, chunksPoP, chunksHitPoP       keyMemo
+	chunksCache, chunksBitrate, liveChannels, proxyEgresses keyMemo
+
 	// Diagnosis mode (see diag.go): non-nil diag classifies every
 	// consumed session; diagNames is the canonical order the per-label
-	// sketches merge in.
+	// sketches merge in, and diagSlots holds each label's counter key and
+	// sketches.
 	diag      *diagnose.Config
 	diagNames []string
+	diagSlots map[diagnose.Label]qoeSlot
 
 	// Windowed mode (see windows.go): sessions are charged by arrival
 	// time to these timeline windows; windowNames is the canonical order
-	// the per-window sketches merge in.
+	// the per-window sketches merge in; windowSlots holds each window's
+	// keys and sketches, in the order of windows.
 	windows     []timeline.Window
 	windowNames []string
+	windowSlots []windowSlot
 
 	// Live mode (see live.go): join-time and live-edge-lag sketches plus
 	// per-channel counters; liveNames is their canonical merge order.
@@ -85,6 +96,11 @@ type Accumulator struct {
 	// per-egress counters; proxyNames is their canonical merge order.
 	proxy      bool
 	proxyNames []string
+}
+
+// chunkSketches are the sketches every chunk feeds.
+type chunkSketches struct {
+	dfb, dlb, srtt, server, serverHit, serverMiss, dwait, dopen, dread *QuantileSketch
 }
 
 // Config assembles an accumulator's optional modes next to its sketch
@@ -122,9 +138,25 @@ func NewAccumulator(k int) *Accumulator {
 			MetricRebufferRate: NewHistogram(0, 1, rebufHistBins),
 		},
 		counters: NewCounterSet(),
+
+		sessionsPoP:   newKeyMemo(CounterSessions, "pop"),
+		sessionsOrg:   newKeyMemo(CounterSessions, "org"),
+		chunksPoP:     newKeyMemo(CounterChunks, "pop"),
+		chunksHitPoP:  newKeyMemo(CounterChunksHit, "pop"),
+		chunksCache:   newKeyMemo(CounterChunks, "cache"),
+		chunksBitrate: newKeyMemo(CounterChunks, "bitrate"),
+		liveChannels:  newKeyMemo(CounterSessions, LiveChannelDim),
+		proxyEgresses: newKeyMemo(CounterSessions, ProxyEgressDim),
 	}
 	for _, m := range metricNames {
 		a.sketches[m] = NewSketch(k)
+	}
+	a.chunk = chunkSketches{
+		dfb: a.sketches[MetricDFBMS], dlb: a.sketches[MetricDLBMS],
+		srtt: a.sketches[MetricSRTTMS], server: a.sketches[MetricServerMS],
+		serverHit: a.sketches[MetricServerHitMS], serverMiss: a.sketches[MetricServerMissMS],
+		dwait: a.sketches[MetricDwaitMS], dopen: a.sketches[MetricDopenMS],
+		dread: a.sketches[MetricDreadMS],
 	}
 	return a
 }
@@ -150,8 +182,8 @@ func NewAccumulatorWith(cfg Config) *Accumulator {
 // session and its chunks into the aggregates and retains nothing.
 func (a *Accumulator) ConsumeSession(s core.SessionRecord, chunks []core.ChunkRecord) {
 	a.counters.Inc(CounterSessions)
-	a.counters.Inc(IntDimKey(CounterSessions, "pop", s.PoP))
-	a.counters.Inc(DimKey(CounterSessions, "org", s.OrgType))
+	a.counters.Inc(a.sessionsPoP.intKey(s.PoP))
+	a.counters.Inc(a.sessionsOrg.strKey(s.OrgType))
 	// StartupMS is NaN for sessions that never started playback; those go
 	// to a dedicated counter instead of the startup distribution.
 	if math.IsNaN(s.StartupMS) {
@@ -176,30 +208,45 @@ func (a *Accumulator) ConsumeSession(s core.SessionRecord, chunks []core.ChunkRe
 		a.consumeProxy(s)
 	}
 
+	if len(chunks) == 0 {
+		return
+	}
+	// Counters whose key is the same for every chunk of the session are
+	// added once per session; a key is only ever created with a
+	// non-zero count, as a per-chunk increment would create it.
+	var hits, retries uint64
+	sk := &a.chunk
 	for i := range chunks {
 		c := &chunks[i]
-		a.counters.Inc(CounterChunks)
-		a.counters.Inc(IntDimKey(CounterChunks, "pop", s.PoP))
-		a.counters.Inc(DimKey(CounterChunks, "cache", c.CacheLevel))
-		a.counters.Inc(IntDimKey(CounterChunks, "bitrate", c.BitrateKbps))
+		a.counters.Inc(a.chunksCache.strKey(c.CacheLevel))
+		a.counters.Inc(a.chunksBitrate.intKey(c.BitrateKbps))
 		server := c.ServerLatencyMS()
 		if c.CacheHit {
-			a.counters.Inc(CounterChunksHit)
-			a.counters.Inc(IntDimKey(CounterChunksHit, "pop", s.PoP))
-			a.sketches[MetricServerHitMS].Add(server)
+			hits++
+			sk.serverHit.Add(server)
 		} else {
-			a.sketches[MetricServerMissMS].Add(server)
+			sk.serverMiss.Add(server)
 		}
 		if c.RetryTimer {
-			a.counters.Inc(CounterChunksRetryTimer)
+			retries++
 		}
-		a.sketches[MetricDFBMS].Add(c.DFBms)
-		a.sketches[MetricDLBMS].Add(c.DLBms)
-		a.sketches[MetricSRTTMS].Add(c.SRTTms)
-		a.sketches[MetricServerMS].Add(server)
-		a.sketches[MetricDwaitMS].Add(c.DwaitMS)
-		a.sketches[MetricDopenMS].Add(c.DopenMS)
-		a.sketches[MetricDreadMS].Add(c.DreadMS)
+		sk.dfb.Add(c.DFBms)
+		sk.dlb.Add(c.DLBms)
+		sk.srtt.Add(c.SRTTms)
+		sk.server.Add(server)
+		sk.dwait.Add(c.DwaitMS)
+		sk.dopen.Add(c.DopenMS)
+		sk.dread.Add(c.DreadMS)
+	}
+	n := uint64(len(chunks))
+	a.counters.AddN(CounterChunks, n)
+	a.counters.AddN(a.chunksPoP.intKey(s.PoP), n)
+	if hits > 0 {
+		a.counters.AddN(CounterChunksHit, hits)
+		a.counters.AddN(a.chunksHitPoP.intKey(s.PoP), hits)
+	}
+	if retries > 0 {
+		a.counters.AddN(CounterChunksRetryTimer, retries)
 	}
 }
 

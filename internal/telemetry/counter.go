@@ -57,6 +57,45 @@ func IntDimKey(base, dim string, value int) string {
 	return DimKey(base, dim, fmt.Sprintf("%05d", value))
 }
 
+// keyMemo hands out the keys of one dimensioned counter family,
+// "<base>_<dim>=<value>", building each with DimKey or IntDimKey the
+// first time its value is seen and returning the same string after. The
+// per-chunk fold then formats no key, and the counter map still holds
+// exactly the keys DimKey and IntDimKey build.
+type keyMemo struct {
+	base, dim string
+	byInt     map[int]string
+	byStr     map[string]string
+}
+
+func newKeyMemo(base, dim string) keyMemo { return keyMemo{base: base, dim: dim} }
+
+// intKey returns IntDimKey(base, dim, v).
+func (m *keyMemo) intKey(v int) string {
+	k, ok := m.byInt[v]
+	if !ok {
+		if m.byInt == nil {
+			m.byInt = map[int]string{}
+		}
+		k = IntDimKey(m.base, m.dim, v)
+		m.byInt[v] = k
+	}
+	return k
+}
+
+// strKey returns DimKey(base, dim, v).
+func (m *keyMemo) strKey(v string) string {
+	k, ok := m.byStr[v]
+	if !ok {
+		if m.byStr == nil {
+			m.byStr = map[string]string{}
+		}
+		k = DimKey(m.base, m.dim, v)
+		m.byStr[v] = k
+	}
+	return k
+}
+
 // DimCount is one (dimension value, count) row extracted from a counter
 // map.
 type DimCount struct {

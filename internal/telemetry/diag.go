@@ -62,6 +62,41 @@ func (a *Accumulator) enableDiagnosis(cfg diagnose.Config) {
 	for _, name := range a.diagNames {
 		a.sketches[name] = NewSketch(a.k)
 	}
+	a.diagSlots = make(map[diagnose.Label]qoeSlot, len(diagnose.Labels()))
+	for _, l := range diagnose.Labels() {
+		a.diagSlots[l] = a.newQoESlot(DiagSessionsKey(l), func(base string) string {
+			return DiagSketchKey(base, l)
+		})
+	}
+}
+
+// qoeSlot is one value of a session dimension (a diagnosis label, a
+// timeline window): its session counter key and its QoE sketch trio,
+// looked up once when the mode is enabled.
+type qoeSlot struct {
+	sessionsKey             string
+	startup, rebuf, bitrate *QuantileSketch
+}
+
+// newQoESlot resolves a slot's sketches, named by sketchKey from the
+// trio's base metrics; the sketches must already exist.
+func (a *Accumulator) newQoESlot(sessionsKey string, sketchKey func(base string) string) qoeSlot {
+	return qoeSlot{
+		sessionsKey: sessionsKey,
+		startup:     a.sketches[sketchKey(MetricStartupMS)],
+		rebuf:       a.sketches[sketchKey(MetricRebufferRate)],
+		bitrate:     a.sketches[sketchKey(MetricAvgBitrateKbps)],
+	}
+}
+
+// consume counts one session in the slot and folds its QoE.
+func (q *qoeSlot) consume(cs *CounterSet, s core.SessionRecord) {
+	cs.Inc(q.sessionsKey)
+	if !math.IsNaN(s.StartupMS) {
+		q.startup.Add(s.StartupMS)
+	}
+	q.rebuf.Add(s.RebufferRate)
+	q.bitrate.Add(s.AvgBitrateKbps)
 }
 
 // consumeDiagnosis classifies one finished session, folds its QoE into
@@ -69,11 +104,7 @@ func (a *Accumulator) enableDiagnosis(cfg diagnose.Config) {
 // mode can cross it with the session's arrival window.
 func (a *Accumulator) consumeDiagnosis(s core.SessionRecord, chunks []core.ChunkRecord) string {
 	label := diagnose.Classify(s, chunks, *a.diag).Label
-	a.counters.Inc(DiagSessionsKey(label))
-	if !math.IsNaN(s.StartupMS) {
-		a.sketches[DiagSketchKey(MetricStartupMS, label)].Add(s.StartupMS)
-	}
-	a.sketches[DiagSketchKey(MetricRebufferRate, label)].Add(s.RebufferRate)
-	a.sketches[DiagSketchKey(MetricAvgBitrateKbps, label)].Add(s.AvgBitrateKbps)
+	slot := a.diagSlots[label]
+	slot.consume(a.counters, s)
 	return string(label)
 }

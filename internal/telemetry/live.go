@@ -57,7 +57,7 @@ func (a *Accumulator) consumeLive(s core.SessionRecord) {
 	if !s.Live {
 		return
 	}
-	a.counters.Inc(LiveChannelSessionsKey(s.LiveChannel))
+	a.counters.Inc(a.liveChannels.intKey(s.LiveChannel))
 	a.counters.AddN(CounterLiveSwitches, uint64(s.LiveSwitches))
 	if !math.IsNaN(s.StartupMS) {
 		a.sketches[MetricJoinTimeMS].Add(s.StartupMS)

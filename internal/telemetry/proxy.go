@@ -67,7 +67,7 @@ func (a *Accumulator) consumeProxy(s core.SessionRecord) {
 	if s.Proxied {
 		cv, startup = a.sketches[MetricSRTTCVProxied], a.sketches[MetricStartupProxied]
 		a.counters.Inc(CounterSessionsProxied)
-		a.counters.Inc(ProxyEgressSessionsKey(s.ProxyCohort))
+		a.counters.Inc(a.proxyEgresses.intKey(s.ProxyCohort))
 	}
 	if s.HTTPClientIP != "" && s.HTTPClientIP != s.BeaconIP {
 		a.counters.Inc(CounterSessionsIPMismatch)

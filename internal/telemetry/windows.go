@@ -10,8 +10,6 @@
 package telemetry
 
 import (
-	"math"
-
 	"vidperf/internal/core"
 	"vidperf/internal/timeline"
 )
@@ -43,6 +41,13 @@ func WindowDiagSessionsKey(window, label string) string {
 // order — the same QoE trio the diagnosis dimension maintains.
 var windowMetricBases = []string{MetricStartupMS, MetricRebufferRate, MetricAvgBitrateKbps}
 
+// windowSlot is one window's session counter key and QoE sketches, plus
+// the memo of its per-label cause counter keys.
+type windowSlot struct {
+	qoeSlot
+	diag keyMemo
+}
+
 // enableWindows switches the accumulator into windowed mode: every
 // consumed session is charged to the window containing its arrival time.
 // Call before the first ConsumeSession; per-window sketches are created
@@ -53,11 +58,20 @@ func (a *Accumulator) enableWindows(ws []timeline.Window) {
 	}
 	a.windows = append([]timeline.Window(nil), ws...)
 	a.windowNames = a.windowNames[:0]
-	for _, w := range a.windows {
+	a.windowSlots = make([]windowSlot, len(a.windows))
+	for i, w := range a.windows {
 		for _, base := range windowMetricBases {
 			name := WindowSketchKey(base, w.Name)
 			a.windowNames = append(a.windowNames, name)
 			a.sketches[name] = NewSketch(a.k)
+		}
+		sessionsKey := WindowSessionsKey(w.Name)
+		a.windowSlots[i] = windowSlot{
+			qoeSlot: a.newQoESlot(sessionsKey, func(base string) string {
+				return WindowSketchKey(base, w.Name)
+			}),
+			// WindowDiagSessionsKey(w.Name, label), built once per label.
+			diag: newKeyMemo(sessionsKey, DiagDim),
 		}
 	}
 }
@@ -72,14 +86,9 @@ func (a *Accumulator) consumeWindow(s core.SessionRecord, diagLabel string) {
 		a.counters.Inc(CounterSessionsUnwindowed)
 		return
 	}
-	w := a.windows[i].Name
-	a.counters.Inc(WindowSessionsKey(w))
-	if !math.IsNaN(s.StartupMS) {
-		a.sketches[WindowSketchKey(MetricStartupMS, w)].Add(s.StartupMS)
-	}
-	a.sketches[WindowSketchKey(MetricRebufferRate, w)].Add(s.RebufferRate)
-	a.sketches[WindowSketchKey(MetricAvgBitrateKbps, w)].Add(s.AvgBitrateKbps)
+	w := &a.windowSlots[i]
+	w.consume(a.counters, s)
 	if diagLabel != "" {
-		a.counters.Inc(WindowDiagSessionsKey(w, diagLabel))
+		a.counters.Inc(w.diag.strKey(diagLabel))
 	}
 }
